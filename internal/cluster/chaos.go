@@ -352,15 +352,15 @@ type ChaosController struct {
 	idx    atomic.Int32 // current event index; len(events) = schedule done
 	fired  atomic.Bool  // at least one event has fired
 
-	sends    atomic.Int64 // outbound token batches observed for the current trigger
+	sends    atomic.Int64 // outbound token batches observed for mid-epoch triggers
 	snaps    atomic.Int64 // replication snapshot sends observed
 	barriers atomic.Int64 // Barrier entries observed
 
-	// Per-event counter baselines, snapped when an event is armed so a
-	// later event's After counts occurrences after the previous fire.
-	baseSends    atomic.Int64
-	baseSnaps    atomic.Int64
-	baseBarriers atomic.Int64
+	// base[i] is event i's trigger counter as it stood when the event
+	// was armed, or -1 before that, so each event counts its After
+	// occurrences from its own arming. The first event counts from
+	// construction until Arm re-snaps it.
+	base []atomic.Int64
 
 	snapKind atomic.Uint32 // 1+kind of the replication ctl frames, 0 = unset
 
@@ -387,6 +387,10 @@ type ChaosController struct {
 func NewChaosController(spec *ChaosSpec) *ChaosController {
 	spec.normalize()
 	c := &ChaosController{events: spec.Events(), rnd: rng.New(spec.Seed)}
+	c.base = make([]atomic.Int64, len(c.events))
+	for i := 1; i < len(c.base); i++ {
+		c.base[i].Store(-1)
+	}
 	c.partRank.Store(-2)
 	c.delayRank.Store(-2)
 	c.dropRank.Store(-2)
@@ -491,7 +495,7 @@ func (c *ChaosController) current() (*ChaosSpec, int32) {
 	return c.events[i], i
 }
 
-// armCurrent prepares the awaiting event: counter baselines are
+// armCurrent prepares the awaiting event: its counter baseline is
 // snapped, immediate (rendezvous) events fire now, relative-time
 // events start their timer.
 func (c *ChaosController) armCurrent() {
@@ -499,9 +503,9 @@ func (c *ChaosController) armCurrent() {
 	if ev == nil {
 		return
 	}
-	c.baseSends.Store(c.sends.Load())
-	c.baseSnaps.Store(c.snaps.Load())
-	c.baseBarriers.Store(c.barriers.Load())
+	if cnt := c.counter(ev.At); cnt != nil {
+		c.base[i].Store(cnt.Load())
+	}
 	switch ev.At {
 	case PointRendezvous:
 		c.fire(i)
@@ -535,37 +539,34 @@ func chaosObserves(ev *ChaosSpec, rank int) bool {
 	return ev.Rank < 0 || ev.Rank == rank
 }
 
-// onSend counts an outbound token batch from rank toward a mid-epoch
-// trigger.
-func (c *ChaosController) onSend(rank int) {
-	ev, i := c.current()
-	if ev == nil || ev.At != PointMidEpoch || !chaosObserves(ev, rank) {
-		return
+// counter returns the occurrence counter a trigger point watches, nil
+// for the points that do not count occurrences.
+func (c *ChaosController) counter(p ChaosPoint) *atomic.Int64 {
+	switch p {
+	case PointMidEpoch:
+		return &c.sends
+	case PointSnapshot:
+		return &c.snaps
+	case PointBarrier:
+		return &c.barriers
 	}
-	if c.sends.Add(1) == c.baseSends.Load()+int64(ev.After) {
-		c.fire(i)
-	}
+	return nil
 }
 
-// onSnap counts a replication snapshot from rank toward a snapshot
-// trigger.
-func (c *ChaosController) onSnap(rank int) {
+// observe counts one occurrence of trigger point p on rank toward the
+// awaiting event and fires it from its After-th occurrence since
+// arming on. The test is ≥, not =: occurrences counted while the event
+// was still being armed move the counter without a threshold check
+// seeing the new baseline, and with = the one occurrence meant to fire
+// it could be among them, so the event would never fire. fire's CAS
+// keeps it exactly once.
+func (c *ChaosController) observe(p ChaosPoint, rank int) {
 	ev, i := c.current()
-	if ev == nil || ev.At != PointSnapshot || !chaosObserves(ev, rank) {
+	if ev == nil || ev.At != p || !chaosObserves(ev, rank) {
 		return
 	}
-	if c.snaps.Add(1) == c.baseSnaps.Load()+int64(ev.After) {
-		c.fire(i)
-	}
-}
-
-// onBarrier counts a barrier entry from rank toward a barrier trigger.
-func (c *ChaosController) onBarrier(rank int) {
-	ev, i := c.current()
-	if ev == nil || ev.At != PointBarrier || !chaosObserves(ev, rank) {
-		return
-	}
-	if c.barriers.Add(1) == c.baseBarriers.Load()+int64(ev.After) {
+	n := c.counter(p).Add(1)
+	if b := c.base[i].Load(); b >= 0 && n >= b+int64(ev.After) {
 		c.fire(i)
 	}
 }
@@ -663,7 +664,7 @@ func (c *ChaosLink) stall() {
 // Send implements cluster.Link, counting outbound token batches toward
 // a mid-epoch trigger and applying stall windows.
 func (c *ChaosLink) Send(dst int, batch TokenBatch) error {
-	c.ctrl.onSend(c.rank)
+	c.ctrl.observe(PointMidEpoch, c.rank)
 	c.stall()
 	return c.Link.Send(dst, batch)
 }
@@ -672,7 +673,7 @@ func (c *ChaosLink) Send(dst int, batch TokenBatch) error {
 // toward a snapshot trigger and dropping them under a fired OpDrop.
 func (c *ChaosLink) SendCtl(dst int, kind uint8, payload []byte) error {
 	if c.ctrl.isSnapshot(kind) {
-		c.ctrl.onSnap(c.rank)
+		c.ctrl.observe(PointSnapshot, c.rank)
 		if int(c.ctrl.dropRank.Load()) == c.rank && c.ctrl.dropSnapshot() {
 			return nil // dropped on the wire
 		}
@@ -685,6 +686,6 @@ func (c *ChaosLink) SendCtl(dst int, kind uint8, payload []byte) error {
 // barrier trigger — the victim dies inside the barrier, after peers
 // have started waiting on it.
 func (c *ChaosLink) Barrier() error {
-	c.ctrl.onBarrier(c.rank)
+	c.ctrl.observe(PointBarrier, c.rank)
 	return c.Link.Barrier()
 }

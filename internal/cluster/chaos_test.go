@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -152,5 +154,86 @@ func TestChaosDropOnlySnapshots(t *testing.T) {
 			t.Fatal("a post-trigger snapshot frame leaked through OpDrop")
 		}
 	default:
+	}
+}
+
+// TestChaosScheduleCountsFromArming: each event of a mid-epoch schedule
+// counts its After sends from its own arming, and a send that finds
+// the counter already past the threshold still fires it. Concurrent
+// senders can move the counter past the threshold while the event is
+// being armed, before any of them checks against the new baseline; a
+// trigger that fired only on the exact threshold count then never
+// fired at all.
+func TestChaosScheduleCountsFromArming(t *testing.T) {
+	spec, err := ParseChaos("join@mid-epoch;drain@mid-epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChaosController(spec)
+	after := c.events[1].After
+	joins, drains := 0, 0
+	c.OnJoin(func(int) {
+		joins++
+		// Sends observed after the join fired but before the drain is
+		// armed must not count toward the drain.
+		for s := 0; s < 2*after; s++ {
+			c.observe(PointMidEpoch, 0)
+		}
+	})
+	c.OnDrain(func(int) { drains++ })
+	c.Arm(nil)
+	for s := 0; s < c.events[0].After; s++ {
+		c.observe(PointMidEpoch, 0)
+	}
+	if joins != 1 || drains != 0 {
+		t.Fatalf("after the join's sends: %d joins, %d drains; want 1, 0", joins, drains)
+	}
+	// Senders racing the drain's arming: the counter passes the
+	// threshold without a check against the armed baseline.
+	c.sends.Add(int64(after) + 2)
+	c.observe(PointMidEpoch, 0)
+	if drains != 1 {
+		t.Fatalf("a send past the drain's threshold fired %d drains, want 1", drains)
+	}
+	c.observe(PointMidEpoch, 0)
+	if joins != 1 || drains != 1 || !c.Done() {
+		t.Fatalf("%d joins, %d drains, done %v; want each once", joins, drains, c.Done())
+	}
+}
+
+// TestChaosScheduleConcurrentSends drives a three-event mid-epoch
+// schedule from several senders at once: every event fires exactly
+// once, in order, however the senders interleave with the arming.
+func TestChaosScheduleConcurrentSends(t *testing.T) {
+	spec, err := ParseChaos("join@mid-epoch;drain@mid-epoch;join@mid-epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChaosController(spec)
+	var mu sync.Mutex
+	var order []string
+	note := func(op string) func(int) {
+		return func(int) {
+			mu.Lock()
+			order = append(order, op)
+			mu.Unlock()
+		}
+	}
+	c.OnJoin(note("join"))
+	c.OnDrain(note("drain"))
+	c.Arm(nil)
+	var wg sync.WaitGroup
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c.observe(PointMidEpoch, rank)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if got := strings.Join(order, ","); got != "join,drain,join" || !c.Done() {
+		t.Fatalf("fired %q (done %v), want join,drain,join", got, c.Done())
 	}
 }

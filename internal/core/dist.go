@@ -202,7 +202,6 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	}
 
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 	var stop atomic.Bool
 
 	// A transport failure (TCP peer down) must end the run even though
@@ -225,9 +224,15 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		}
 	}, &stop, cancelRun)
 	fo.startAgents()
+	// The membership controls go live before the recorder's first
+	// sample emits the run's first event, so a caller reacting to that
+	// event with Join or Drain always finds the run; they go dead again
+	// when the run returns.
 	if cfg.Elastic != nil && fo != nil {
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
+		defer cfg.Elastic.Bind(nil, nil)
 	}
+	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 	if chaos != nil {
 		chaos.Arm(links)
 	}

@@ -8,6 +8,7 @@ package core
 // (the coordinator itself dies) and the fence-timeout abort path.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -106,6 +107,40 @@ func TestElasticKillJoinDrain(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestElasticControlLiveAtFirstEvent: both asynchronous runners (SPSC
+// selects the mesh one, mutex the queue one) bind the membership
+// controls before the recorder's first sample emits the run's first
+// event, so a Join issued from inside that event's hook finds the run
+// live. Once the run returns the controls are dead again.
+func TestElasticControlLiveAtFirstEvent(t *testing.T) {
+	for _, kind := range []queue.Kind{queue.KindSPSC, queue.KindMutex} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := elasticConfig("sim", kind)
+			ec := &train.ElasticControl{}
+			cfg.Elastic = ec
+			traces := 0
+			var joinErr error
+			hooks := &train.Hooks{Trace: func(train.TraceEvent) {
+				if traces++; traces == 1 {
+					joinErr = ec.Join(-1)
+				}
+			}}
+			if _, err := New().Train(context.Background(), testData(t), cfg, hooks); err != nil {
+				t.Fatalf("elastic run failed: %v", err)
+			}
+			if traces == 0 {
+				t.Fatal("the run emitted no trace event")
+			}
+			if joinErr != nil {
+				t.Fatalf("Join at the run's first event: %v", joinErr)
+			}
+			if err := ec.Join(-1); err == nil {
+				t.Fatal("Join after the run returned succeeded")
+			}
+		})
 	}
 }
 

@@ -119,7 +119,8 @@ type GradFunc func(w, h []float64, g, step, lambda float64)
 //
 // Batching the whole item pass hoists every per-rating overhead the
 // caller would otherwise pay — kernel dispatch, schedule branch, row
-// slicing — out of the inner loop.
+// slicing — out of the inner loop. The assembly version also fetches
+// the user rows of the next ratings ahead of use (DESIGN.md §9).
 type ItemPassFunc func(wData []float64, users []int32, vals []float64,
 	counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64)
 

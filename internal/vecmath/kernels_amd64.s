@@ -371,3 +371,152 @@ TEXT ·fstepAVX32(SB), NOSPLIT, $0-44
 	VZEROUPPER
 	VMOVSS X5, ret+40(FP)
 	RET
+
+// ---------------------------------------------------------------------
+// batched item pass
+// ---------------------------------------------------------------------
+
+// ITEMPASS_AHEAD is the prefetch distance of the item passes, in
+// ratings: while rating x computes, the user row of rating x+AHEAD is
+// pulled toward L1. See DESIGN.md §9 for how it was measured.
+#define ITEMPASS_AHEAD 2
+
+// Prefetch every cache line of the user row for rating x+ITEMPASS_AHEAD
+// (x in BX) when that rating exists. The line count is exact for the
+// row's offset within its first line: ⌈((row & 63) + bytes) / 64⌉.
+// PREFETCHT0 never faults, so the row need not be range-checked here
+// (an out-of-range user only costs a wasted hint before the bail).
+// Expects R8 = wData, R9 = k, R10 = users, R13 = n. Clobbers AX, CX, SI.
+#define PREFETCH_ROW(scale, lpf, lnone)               \
+	LEAQ ITEMPASS_AHEAD(BX), AX                   \
+	CMPQ AX, R13                                  \
+	JGE  lnone                                    \
+	MOVLQSX (R10)(AX*4), AX                       \
+	IMULQ R9, AX                                  \
+	LEAQ (R8)(AX*scale), SI                       \
+	MOVQ SI, CX                                   \
+	ANDQ $63, CX                                  \
+	LEAQ 63(CX)(R9*scale), CX                     \
+	SHRQ $6, CX                                   \
+lpf:                                                  \
+	PREFETCHT0 (SI)                               \
+	ADDQ $64, SI                                  \
+	DECQ CX                                       \
+	JNZ  lpf                                      \
+lnone:
+
+// func itemPassAVX(w *float64, rows, k int, users *int32, vals *float64, counts *int32, n int, h *float64, lambda float64, steps *float64, nsteps int) int
+//
+// Runs fstepAVX's exact operation sequence over ratings x = 0, 1, …,
+// n−1 of one item: t = counts[x], counts[x] = t+1, then the fused step
+// of h against user row users[x] with rating vals[x] and step steps[t].
+// It stops early, before touching rating x, when t is past the step
+// table (t ≥ nsteps: the schedule's slow path is a Go closure) or the
+// user index is out of range (users[x] ≥ rows, unsigned, so negatives
+// too: the Go wrapper re-runs that rating through the slice expression
+// that panics). Returns the number of ratings done.
+TEXT ·itemPassAVX(SB), NOSPLIT, $0-96
+	MOVQ   w+0(FP), R8
+	MOVQ   k+16(FP), R9
+	MOVQ   users+24(FP), R10
+	MOVQ   vals+32(FP), R11
+	MOVQ   counts+40(FP), R12
+	MOVQ   n+48(FP), R13
+	MOVQ   h+56(FP), DX
+	VMOVSD lambda+64(FP), X9
+	MOVQ   steps+72(FP), R14
+	XORQ   BX, BX
+
+ploop:
+	CMPQ BX, R13
+	JGE  pdone
+	PREFETCH_ROW(8, ppf, pnopf)
+	MOVLQSX (R12)(BX*4), AX
+	CMPQ    AX, nsteps+80(FP)
+	JAE     pdone
+	MOVLQSX (R10)(BX*4), CX
+	CMPQ    CX, rows+8(FP)
+	JAE     pdone
+	VMOVSD  (R14)(AX*8), X8
+	INCL    AX
+	MOVL    AX, (R12)(BX*4)
+	IMULQ   R9, CX
+	LEAQ    (R8)(CX*8), AX
+	MOVQ    AX, SI
+	MOVQ    DX, DI
+	MOVQ    R9, CX
+	DOT64(pblk, poct, pquad, pred, psca, pdot)
+	// e = rating − dot; sg = step·e; sl = step·lambda
+	VMOVSD (R11)(BX*8), X5
+	VSUBSD X0, X5, X5
+	VMULSD X5, X8, X10
+	VMULSD X9, X8, X11
+	VBROADCASTSD X10, Y10
+	VBROADCASTSD X11, Y11
+	MOVQ AX, SI
+	MOVQ DX, DI
+	MOVQ R9, CX
+	UPD64(puoct, puquad, pusca, pupd)
+	INCQ BX
+	JMP  ploop
+
+pdone:
+	VZEROUPPER
+	MOVQ BX, ret+88(FP)
+	RET
+
+// func itemPassAVX32(w *float32, rows, k int, users *int32, vals *float64, counts *int32, n int, h *float32, lambda float32, steps *float64, nsteps int) int
+//
+// The float32 twin of itemPassAVX, with fstepAVX32's sequence. Ratings
+// and steps stay float64 in memory and are narrowed per rating with
+// VCVTSD2SS, the conversion the Go float32(x) compiles to.
+TEXT ·itemPassAVX32(SB), NOSPLIT, $0-96
+	MOVQ   w+0(FP), R8
+	MOVQ   k+16(FP), R9
+	MOVQ   users+24(FP), R10
+	MOVQ   vals+32(FP), R11
+	MOVQ   counts+40(FP), R12
+	MOVQ   n+48(FP), R13
+	MOVQ   h+56(FP), DX
+	VMOVSS lambda+64(FP), X9
+	MOVQ   steps+72(FP), R14
+	XORQ   BX, BX
+
+qloop:
+	CMPQ BX, R13
+	JGE  qdone
+	PREFETCH_ROW(4, qpf, qnopf)
+	MOVLQSX (R12)(BX*4), AX
+	CMPQ    AX, nsteps+80(FP)
+	JAE     qdone
+	MOVLQSX (R10)(BX*4), CX
+	CMPQ    CX, rows+8(FP)
+	JAE     qdone
+	VMOVSD  (R14)(AX*8), X8
+	VCVTSD2SS X8, X8, X8
+	INCL    AX
+	MOVL    AX, (R12)(BX*4)
+	IMULQ   R9, CX
+	LEAQ    (R8)(CX*4), AX
+	MOVQ    AX, SI
+	MOVQ    DX, DI
+	MOVQ    R9, CX
+	DOT32(qblk, qhex, qoct, qred, qsca, qdot)
+	VMOVSD    (R11)(BX*8), X5
+	VCVTSD2SS X5, X5, X5
+	VSUBSS    X0, X5, X5
+	VMULSS    X5, X8, X10
+	VMULSS    X9, X8, X11
+	VBROADCASTSS X10, Y10
+	VBROADCASTSS X11, Y11
+	MOVQ AX, SI
+	MOVQ DX, DI
+	MOVQ R9, CX
+	UPD32(quhex, quoct, qusca, qupd)
+	INCQ BX
+	JMP  qloop
+
+qdone:
+	VZEROUPPER
+	MOVQ BX, ret+88(FP)
+	RET

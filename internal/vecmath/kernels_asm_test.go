@@ -1,7 +1,9 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,51 +155,193 @@ func TestSIMDGradMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSIMDItemPassBitMatchesStep: the asm item pass calls the same
-// fused asm step per rating, so against kern.Step at the same schedule
-// it must agree bit for bit (this mirrors the portable item-pass test).
+// TestSIMDItemPassBitMatchesStep: the asm item pass runs the fused asm
+// step's exact operation sequence per rating, so against kern.Step at
+// the same schedule it must agree bit for bit, in both precisions.
+// Each list runs three passes, so counts move across the table end
+// between passes as well as within a list.
 func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 	forceSIMD(t)
 	r := rng.New(44)
-	for _, k := range []int{8, 16, 32, 17} {
-		kern := KernelFor(k)
-		const nUsers, nRatings = 10, 60
-		steps := []float64{0.05, 0.04, 0.03}
-		slow := func(t int) float64 { return 0.02 / float64(t+1) }
-		wData := make([]float64, nUsers*k)
-		h := make([]float64, k)
-		fill(r, wData)
-		fill(r, h)
-		users := make([]int32, nRatings)
-		vals := make([]float64, nRatings)
-		counts := make([]int32, nRatings)
-		for x := range users {
-			users[x] = int32(r.Intn(nUsers))
-			vals[x] = r.Uniform(-3, 3)
-			counts[x] = int32(r.Intn(6))
+	const lambda = 0.02
+	for _, k := range []int{8, 16, 32, 17, 100} {
+		kern, kern32 := KernelFor(k), KernelFor32(k)
+		for _, c := range itemPassCases(r) {
+			t.Run(fmt.Sprintf("K=%d/%s/f64", k, c.name), func(t *testing.T) {
+				checkItemPass(t, r, k, c,
+					func(w []float64, c itemPassCase, h []float64, slow func(int) float64) {
+						kern.ItemPass(w, c.users, c.vals, c.counts, h, lambda, itemPassSteps, slow)
+					},
+					func(w, h []float64, rating, step float64) { kern.Step(w, h, rating, step, lambda) })
+			})
+			t.Run(fmt.Sprintf("K=%d/%s/f32", k, c.name), func(t *testing.T) {
+				checkItemPass(t, r, k, c,
+					func(w []float32, c itemPassCase, h []float32, slow func(int) float64) {
+						kern32.ItemPass(w, c.users, c.vals, c.counts, h, lambda, itemPassSteps, slow)
+					},
+					func(w, h []float32, rating, step float64) {
+						kern32.Step(w, h, float32(rating), float32(step), lambda)
+					})
+			})
 		}
-		wRef := append([]float64(nil), wData...)
-		hRef := append([]float64(nil), h...)
-		for x := range users {
-			tc := counts[x]
-			step := slow(int(tc))
-			if int(tc) < len(steps) {
-				step = steps[tc]
+	}
+}
+
+// itemPassSteps is the short step table of the item-pass tests; counts
+// at or past its end take the slow closure.
+var itemPassSteps = []float64{0.05, 0.04, 0.03, 0.025}
+
+func itemPassSlow(t int) float64 { return 0.02 / float64(t+1) }
+
+// itemPassUsers is the row count of the item-pass tests' W.
+const itemPassUsers = 40
+
+// itemPassCase is one item's rating list.
+type itemPassCase struct {
+	name   string
+	users  []int32
+	vals   []float64
+	counts []int32
+}
+
+// itemPassCases covers the asm loop's exits and its prefetch window:
+// an empty list; a list longer than two itemPassChunks whose counts
+// cross the table end every few ratings; repeated users, the same user
+// one and two ratings apart included (inside the prefetch distance);
+// and the ascending-user order real rating lists have.
+func itemPassCases(r *rng.Source) []itemPassCase {
+	mk := func(name string, n int, user func(x int) int32, count func(x int) int32) itemPassCase {
+		c := itemPassCase{name: name, users: make([]int32, n), vals: make([]float64, n), counts: make([]int32, n)}
+		for x := 0; x < n; x++ {
+			c.users[x] = user(x)
+			c.vals[x] = r.Uniform(-3, 3)
+			c.counts[x] = count(x)
+		}
+		return c
+	}
+	random := func(int) int32 { return int32(r.Intn(itemPassUsers)) }
+	inTable := func(int) int32 { return int32(r.Intn(len(itemPassSteps))) }
+	return []itemPassCase{
+		mk("empty", 0, random, inTable),
+		// Runs of three ratings per count 0..7: in the table for 0..3,
+		// past it for 4..7, so the loop bails and resumes every 12.
+		mk("crossing", 2*itemPassChunk+300, random, func(x int) int32 { return int32(x/3) % 8 }),
+		mk("repeats", 90, func(x int) int32 {
+			switch x % 6 {
+			case 0, 1:
+				return 3 // back to back
+			case 3:
+				return 3 // two ratings after the last 3
 			}
-			o := int(users[x]) * k
-			kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
-		}
-		kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
-		for i := range wData {
-			if wData[i] != wRef[i] {
-				t.Fatalf("K=%d: wData[%d] = %v, per-rating %v", k, i, wData[i], wRef[i])
+			return int32(r.Intn(3))
+		}, func(x int) int32 { return int32(r.Intn(6)) }),
+		mk("ascending", 35, func(x int) int32 { return int32(x) }, inTable),
+	}
+}
+
+// checkItemPass runs c through pass three times and through per-rating
+// step calls three times, from the same random start, and requires the
+// rows and counts to match bit for bit.
+func checkItemPass[F float32 | float64](t *testing.T, r *rng.Source, k int, c itemPassCase,
+	pass func(w []F, c itemPassCase, h []F, slow func(int) float64),
+	step func(w, h []F, rating, step float64)) {
+	t.Helper()
+	wData := make([]F, itemPassUsers*k)
+	h := make([]F, k)
+	for i := range wData {
+		wData[i] = F(r.Uniform(-1, 1))
+	}
+	for i := range h {
+		h[i] = F(r.Uniform(-1, 1))
+	}
+	wRef := append([]F(nil), wData...)
+	hRef := append([]F(nil), h...)
+	countsRef := append([]int32(nil), c.counts...)
+	c.counts = append([]int32(nil), c.counts...)
+	slowCalls := 0
+	slow := func(t int) float64 { slowCalls++; return itemPassSlow(t) }
+	for p := 0; p < 3; p++ {
+		for x, u := range c.users {
+			tc := countsRef[x]
+			countsRef[x] = tc + 1
+			s := itemPassSlow(int(tc))
+			if int(tc) < len(itemPassSteps) {
+				s = itemPassSteps[tc]
 			}
+			o := int(u) * k
+			step(wRef[o:o+k], hRef, c.vals[x], s)
 		}
-		for i := range h {
-			if h[i] != hRef[i] {
-				t.Fatalf("K=%d: h[%d] = %v, per-rating %v", k, i, h[i], hRef[i])
-			}
+		pass(wData, c, h, slow)
+	}
+	if c.name == "crossing" && slowCalls == 0 {
+		t.Fatal("slow fallback never exercised")
+	}
+	for i := range wData {
+		if wData[i] != wRef[i] {
+			t.Fatalf("wData[%d] = %v, per-rating %v", i, wData[i], wRef[i])
 		}
+	}
+	for i := range h {
+		if h[i] != hRef[i] {
+			t.Fatalf("h[%d] = %v, per-rating %v", i, h[i], hRef[i])
+		}
+	}
+	for i := range c.counts {
+		if c.counts[i] != countsRef[i] {
+			t.Fatalf("counts[%d] = %d, want %d", i, c.counts[i], countsRef[i])
+		}
+	}
+}
+
+// TestSIMDItemPassPanicsOnBadUser: a user index outside W makes the asm
+// item pass stop and hand the rating back to Go, whose row slice
+// expression must panic with the same runtime error a per-rating loop
+// raises — after the ratings before it were applied and the bad
+// rating's count was taken, as that loop leaves them.
+func TestSIMDItemPassPanicsOnBadUser(t *testing.T) {
+	forceSIMD(t)
+	const nUsers = 4
+	for _, k := range []int{8, 100} {
+		for _, bad := range []int32{nUsers, -1, math.MaxInt32} {
+			users := []int32{0, 2, bad, 1}
+			vals := []float64{1, 2, 3, 4}
+			steps := []float64{0.01}
+			slow := func(int) float64 { return 0.01 }
+			wData := make([]float64, nUsers*k)
+			wantErr := panicOf(func() { _ = wData[int(bad)*k:][:k] })
+
+			counts := make([]int32, len(users))
+			h := make([]float64, k)
+			got := panicOf(func() { KernelFor(k).ItemPass(wData, users, vals, counts, h, 0.01, steps, slow) })
+			checkBadUserPanic(t, k, bad, got, wantErr, counts)
+
+			counts32 := make([]int32, len(users))
+			h32 := make([]float32, k)
+			got = panicOf(func() {
+				KernelFor32(k).ItemPass(make([]float32, nUsers*k), users, vals, counts32, h32, 0.01, steps, slow)
+			})
+			checkBadUserPanic(t, k, bad, got, wantErr, counts32)
+		}
+	}
+}
+
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+func checkBadUserPanic(t *testing.T, k int, bad int32, got, want any, counts []int32) {
+	t.Helper()
+	err, ok := got.(runtime.Error)
+	if !ok {
+		t.Fatalf("K=%d user %d: panic %v, want a runtime error", k, bad, got)
+	}
+	if err.Error() != want.(runtime.Error).Error() {
+		t.Fatalf("K=%d user %d: panic %q, want %q", k, bad, err, want)
+	}
+	if fmt.Sprint(counts) != "[1 1 1 0]" {
+		t.Fatalf("K=%d user %d: counts %v after the panic, want [1 1 1 0]", k, bad, counts)
 	}
 }
 

@@ -121,3 +121,44 @@ func TestSessionElasticResize(t *testing.T) {
 		t.Fatalf("elastic run failed: %v", err)
 	}
 }
+
+// TestSessionResizeAtRunStart calls Resize at the first event the run
+// emits, the earliest moment a caller can know Run has started; the
+// run must already accept it. After Run returns the handle fails typed
+// again.
+func TestSessionResizeAtRunStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("elastic run")
+	}
+	s, err := NewSession(synthSmall(t),
+		WithElastic(1),
+		WithCluster(3, "instant"),
+		WithWorkers(2),
+		WithSeed(5),
+		WithStopConditions(MaxEpochs(5000)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancelSub := s.Subscribe(256)
+	defer cancelSub()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run(ctx)
+		done <- err
+	}()
+	<-events
+	joinErr := s.Resize().Join(-1)
+	cancel()
+	if err := <-done; err != nil && err != context.Canceled {
+		t.Fatalf("elastic run failed: %v", err)
+	}
+	if joinErr != nil {
+		t.Fatalf("Join at the run's first event: %v", joinErr)
+	}
+	if err := s.Resize().Join(-1); err == nil {
+		t.Fatal("Join after Run returned succeeded")
+	}
+}
